@@ -24,16 +24,29 @@
 //! names the exact block, at a fraction of the honest-case cost. With
 //! `S` servers each surrendering an `N`-block log, the audit performs
 //! `S` batched checks instead of `S·N` full signature verifications.
+//!
+//! Lemma 2 costs one full tree build per shard per audit, not one per
+//! logged write. Every write is checked against its block's composite
+//! root, and a block's root depends only on the shard and the block's
+//! version, so the auditor asks each shard once for the roots at all of
+//! its audited versions ([`AuthenticatedShard::roots_at_versions`]).
+//! The shard builds its value and key trees at the first version, then
+//! re-hashes only the leaves whose stored chain changes before each next
+//! version. The changed leaves come from the store's own version chains,
+//! so a stored version the log never wrote is still caught. The shards
+//! are processed in parallel. A write then authenticates when its key
+//! exists at the version and the shard's root there equals the logged
+//! one, which is what the per-write verification object shows.
 
 use core::fmt;
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 
 use fides_crypto::schnorr::PublicKey;
 use fides_durability::ShardSnapshot;
 use fides_ledger::block::{Block, Decision, TxnRecord};
 use fides_ledger::log::TamperProofLog;
 use fides_ledger::validate::{select_canonical_log, ChainFault, LogAssessment};
-use fides_store::authenticated::{leaf_digest, AuthenticatedShard};
+use fides_store::authenticated::AuthenticatedShard;
 use fides_store::types::{ItemState, Key, Timestamp, Value};
 
 use crate::occ::{self, Conflict};
@@ -548,12 +561,14 @@ impl Auditor {
         // ---- Step 3: datastore authentication (Lemma 2). -------------
         //
         // The logged root is the **composite** `H(value_root ‖
-        // key_root)` ([`fides_store::combine_roots`]): the VO computed
-        // from the (possibly corrupted) store yields the value half,
-        // the reconstructed key tree at that version the other half.
-        // The key-root reconstruction is cached per (server, version) —
-        // it only changes when a key is created.
-        let mut key_roots: HashMap<(u32, Timestamp), fides_crypto::Digest> = HashMap::new();
+        // key_root)` ([`fides_store::combine_roots`]). Every logged write
+        // of a committed block is checked at the block's version: the
+        // server's *actual* (possibly corrupted) store must hold the key
+        // there and reproduce the co-signed root (§4.2.2). The roots are
+        // computed once per distinct (server, version), in one rolled
+        // pass per shard, the shards in parallel.
+        let mut checks: Vec<(u64, Timestamp, u32, &Key, fides_crypto::Digest)> = Vec::new();
+        let mut versions: BTreeMap<u32, BTreeSet<Timestamp>> = BTreeMap::new();
         for block in canonical.iter() {
             if block.decision != Decision::Commit {
                 continue;
@@ -573,33 +588,39 @@ impl Auditor {
                     let Some(logged_root) = block.root_of(server) else {
                         continue; // missing roots reported separately
                     };
-                    let Some(shard) = input.shards.get(server as usize) else {
+                    if input.shards.get(server as usize).is_none() {
                         continue;
-                    };
-                    // The server produces the VO from its *actual*
-                    // (possibly corrupted) store (§4.2.2).
-                    let authentic = match shard.proof_at_version(&write.key, version) {
-                        Some((stored_value, vo)) => {
-                            let value_root =
-                                vo.compute_root(leaf_digest(&write.key, &stored_value));
-                            let key_root = *key_roots
-                                .entry((server, version))
-                                .or_insert_with(|| shard.key_tree_at_version(version).root());
-                            fides_store::combine_roots(&value_root, &key_root) == logged_root
-                        }
-                        None => false,
-                    };
-                    if !authentic {
-                        violations.push(Violation {
-                            server: Some(server),
-                            height: Some(block.height),
-                            kind: ViolationKind::DatastoreCorruption {
-                                key: write.key.clone(),
-                                version,
-                            },
-                        });
                     }
+                    checks.push((block.height, version, server, &write.key, logged_root));
+                    versions.entry(server).or_default().insert(version);
                 }
+            }
+        }
+        let per_shard: Vec<(u32, Vec<Timestamp>)> = versions
+            .into_iter()
+            .map(|(server, vs)| (server, vs.into_iter().collect()))
+            .collect();
+        let shard_roots = rayon::parallel_map(&per_shard, |(server, vs)| {
+            input.shards[*server as usize].roots_at_versions(vs)
+        });
+        let roots: HashMap<(u32, Timestamp), fides_crypto::Digest> = per_shard
+            .iter()
+            .zip(shard_roots)
+            .flat_map(|((server, vs), rs)| vs.iter().map(|v| (*server, *v)).zip(rs))
+            .collect();
+        for (height, version, server, key, logged_root) in checks {
+            let shard = &input.shards[server as usize];
+            let authentic =
+                shard.exists_at_version(key, version) && roots[&(server, version)] == logged_root;
+            if !authentic {
+                violations.push(Violation {
+                    server: Some(server),
+                    height: Some(height),
+                    kind: ViolationKind::DatastoreCorruption {
+                        key: key.clone(),
+                        version,
+                    },
+                });
             }
         }
 

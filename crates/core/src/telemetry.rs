@@ -79,6 +79,9 @@ pub struct ServerTelemetry {
     pub reads_owner: Arc<Counter>,
     /// Snapshot reads served from a mirrored peer checkpoint.
     pub reads_mirror: Arc<Counter>,
+    /// Mirror read-serving states rebuilt (restore + chain check) — one
+    /// per mirrored checkpoint; cache hits do not count.
+    pub mirror_rebuilds: Arc<Counter>,
     /// Snapshot reads refused (repairing, uncovered height, …).
     pub read_refusals: Arc<Counter>,
     /// Repair tasks started (gap detected).
@@ -118,6 +121,7 @@ impl ServerTelemetry {
             queue_depth: registry.gauge("durability.queue_depth"),
             reads_owner: registry.counter("read.serve.owner"),
             reads_mirror: registry.counter("read.serve.mirror"),
+            mirror_rebuilds: registry.counter("read.mirror.rebuilds"),
             read_refusals: registry.counter("read.refused"),
             repair_started: registry.counter("repair.started"),
             repair_completed: registry.counter("repair.completed"),

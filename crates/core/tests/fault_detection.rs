@@ -133,6 +133,76 @@ fn post_commit_corruption_detected_at_precise_version() {
     cluster.shutdown();
 }
 
+#[test]
+fn unlogged_store_version_detected_between_audited_versions() {
+    // The store of server 1 gains a version of a key the log never
+    // writes, timestamped between two audited versions. Lemma 2 must see
+    // it at the first block whose version covers it — the roots come
+    // from the store's own chains, not from the logged writes.
+    let faulty = 1u32;
+    let cluster = FidesCluster::start(ClusterConfig::new(3).items_per_shard(4));
+    let written = [
+        cluster.key_of(faulty, 0),
+        cluster.key_of(faulty, 1),
+        cluster.key_of(faulty, 0),
+    ];
+    let untouched = cluster.key_of(faulty, 3);
+    let mut client = cluster.client(0);
+    for key in &written {
+        assert!(client
+            .run_rmw(std::slice::from_ref(key), 3)
+            .unwrap()
+            .committed());
+    }
+    cluster.settle(Duration::from_secs(5)).expect("settled");
+
+    // (height, version) of each commit block, in log order.
+    let blocks: Vec<(u64, fides_store::Timestamp)> = cluster
+        .server_state(0)
+        .log()
+        .iter()
+        .filter(|b| b.decision == fides_ledger::block::Decision::Commit)
+        .filter_map(|b| Some((b.height, b.max_txn_ts()?)))
+        .collect();
+    assert_eq!(blocks.len(), 3, "{blocks:?}");
+    let (first_height, v1) = blocks[0];
+    let (second_height, v2) = blocks[1];
+    let injected = fides_store::Timestamp::new(v1.counter(), v1.client() + 1);
+    assert!(v1 < injected && injected < v2, "{v1} < {injected} < {v2}");
+    cluster.server_state(faulty).with_shard_mut(|shard| {
+        shard
+            .store_mut()
+            .commit_write(&untouched, Value::from_i64(-1), injected)
+    });
+
+    let report = cluster.audit();
+    let against = report.against_server(faulty);
+    assert!(
+        against
+            .iter()
+            .all(|v| matches!(v.kind, ViolationKind::DatastoreCorruption { .. })),
+        "{report}"
+    );
+    // Nothing at the block below the injected version; the first report
+    // is the next block, on the key it logged, at its version.
+    assert!(against.iter().all(|v| v.height != Some(first_height)));
+    let first = against
+        .iter()
+        .min_by_key(|v| v.height)
+        .expect("the unlogged version must be detected");
+    assert_eq!(first.height, Some(second_height));
+    assert_eq!(
+        first.kind,
+        ViolationKind::DatastoreCorruption {
+            key: written[1].clone(),
+            version: v2,
+        }
+    );
+    assert!(report.against_server(0).is_empty(), "{report}");
+    assert!(report.against_server(2).is_empty(), "{report}");
+    cluster.shutdown();
+}
+
 // ----------------------------------------------------------------------
 // Scenario 2 (§5): incorrect block creation — benign cohort defends
 // itself by refusing to co-sign (Lemma 5 machinery).

@@ -212,6 +212,67 @@ fn mirror_served_reads_verify_within_bound() {
     cluster.shutdown();
 }
 
+/// The height of `holder`'s checkpoint mirror of `origin`'s shard.
+fn mirror_height(cluster: &FidesCluster, holder: u32, origin: u32) -> Option<u64> {
+    cluster
+        .server_state(holder)
+        .mirror_heights()
+        .into_iter()
+        .find_map(|(o, h)| (o == origin).then_some(h))
+}
+
+#[test]
+fn mirror_read_state_is_rebuilt_once_per_checkpoint() {
+    let tmp = fides_durability::testutil::TempDir::new("mirror-rebuilds");
+    let cluster = FidesCluster::start(
+        ClusterConfig::new(3)
+            .items_per_shard(8)
+            .persistence(fides_core::PersistenceConfig::files(tmp.path()).snapshot_interval(4)),
+    );
+    let (origin, holder) = (0u32, 2u32);
+    let mut writer = cluster.client(0);
+    drive_until_mirrored(&cluster, origin, &mut writer, 4);
+    cluster.settle(Duration::from_secs(5)).expect("settled");
+
+    let key = cluster.key_of(origin, 0);
+    let mut reader = cluster.client(1);
+    let metric = |name: &str| cluster.server_metrics(holder).counter(name);
+    let read_batch = |reader: &mut fides_core::ClientSession| {
+        for _ in 0..16 {
+            let verified = reader
+                .read_only_from(
+                    holder,
+                    std::slice::from_ref(&key),
+                    ReadConsistency::BoundedStaleness(64),
+                )
+                .expect("mirror-served read");
+            assert!(verified.values[0].is_some());
+        }
+    };
+
+    // Many reads of one unchanged mirror: one rebuild.
+    let mirrored = mirror_height(&cluster, holder, origin).expect("mirror held");
+    let served_before = metric("read.serve.mirror");
+    read_batch(&mut reader);
+    assert_eq!(metric("read.serve.mirror") - served_before, 16);
+    assert_eq!(mirror_height(&cluster, holder, origin), Some(mirrored));
+    assert_eq!(metric("read.mirror.rebuilds"), 1);
+
+    // A superseding mirror: exactly one more.
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while mirror_height(&cluster, holder, origin) == Some(mirrored) {
+        commit_rmw(&mut writer, std::slice::from_ref(&key), 1);
+        assert!(Instant::now() < deadline, "mirror never superseded");
+    }
+    cluster.settle(Duration::from_secs(5)).expect("settled");
+    let superseded = mirror_height(&cluster, holder, origin);
+    read_batch(&mut reader);
+    assert_eq!(mirror_height(&cluster, holder, origin), superseded);
+    assert_eq!(metric("read.mirror.rebuilds"), 2);
+    assert!(cluster.read_evidence().is_empty());
+    cluster.shutdown();
+}
+
 #[test]
 fn stale_beyond_bound_serve_is_refuted_and_audited() {
     let tmp = fides_durability::testutil::TempDir::new("stale-reads");

@@ -45,6 +45,27 @@ pub fn hash_leaf(data: &[u8]) -> Digest {
     Sha256::digest_parts(&[&[LEAF_PREFIX], data])
 }
 
+/// Batch form of [`hash_leaf`]: hashes every leaf's data through the
+/// multi-lane [`Sha256::digest_many`]. Identical output to mapping
+/// [`hash_leaf`] — the from-scratch tree builds hash thousands of short
+/// leaves at once.
+pub fn hash_leaf_many(data: &[&[u8]]) -> Vec<Digest> {
+    if data.len() < 2 {
+        return data.iter().map(|d| hash_leaf(d)).collect();
+    }
+    let messages: Vec<Vec<u8>> = data
+        .iter()
+        .map(|d| {
+            let mut m = Vec::with_capacity(1 + d.len());
+            m.push(LEAF_PREFIX);
+            m.extend_from_slice(d);
+            m
+        })
+        .collect();
+    let refs: Vec<&[u8]> = messages.iter().map(Vec::as_slice).collect();
+    Sha256::digest_many(&refs)
+}
+
 /// Hashes two child digests into their parent:
 /// `h(left ‖ right)` with node domain separation.
 pub fn hash_nodes(left: &Digest, right: &Digest) -> Digest {
@@ -943,6 +964,28 @@ mod tests {
         let mut tree = MerkleTree::from_leaves(leaves(64));
         let recomputed = tree.update_leaves_parallel(&[(5, hash_leaf(b"x"))]);
         assert_eq!(recomputed, 6); // log2(64): the serial path ran
+    }
+
+    #[test]
+    fn hash_leaf_many_matches_hash_leaf() {
+        // With the 1-byte leaf prefix, data lengths 54/55 straddle the
+        // one-block padding cliff (55/56-byte messages) and 62/63/64
+        // the block boundary; a mixed batch also exercises lanes whose
+        // block counts differ.
+        let lengths = [
+            0usize, 1, 53, 54, 55, 56, 62, 63, 64, 65, 118, 119, 120, 200,
+        ];
+        let data: Vec<Vec<u8>> = lengths
+            .iter()
+            .map(|&n| (0..n).map(|i| (i * 7 + n) as u8).collect())
+            .collect();
+        let refs: Vec<&[u8]> = data.iter().map(Vec::as_slice).collect();
+        let expected: Vec<Digest> = refs.iter().map(|d| hash_leaf(d)).collect();
+        assert_eq!(hash_leaf_many(&refs), expected);
+        for &d in &refs {
+            assert_eq!(hash_leaf_many(&[d]), vec![hash_leaf(d)]);
+        }
+        assert!(hash_leaf_many(&[]).is_empty());
     }
 
     #[test]

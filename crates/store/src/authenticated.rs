@@ -33,7 +33,7 @@ use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
 use fides_crypto::encoding::Encoder;
-use fides_crypto::merkle::{hash_leaf, MerkleTree, VerificationObject};
+use fides_crypto::merkle::{hash_leaf, hash_leaf_many, MerkleTree, VerificationObject};
 use fides_crypto::Digest;
 
 use crate::checkpoint::{CheckpointItem, ShardCheckpoint};
@@ -62,20 +62,46 @@ impl MhtUpdateStats {
 
 /// Computes the canonical leaf digest for a `(key, value)` pair.
 pub fn leaf_digest(key: &Key, value: &Value) -> Digest {
+    hash_leaf(&leaf_encoding(key, value))
+}
+
+/// The bytes [`leaf_digest`] hashes.
+fn leaf_encoding(key: &Key, value: &Value) -> Vec<u8> {
     let mut enc = Encoder::new();
     enc.put_str(key.as_str());
     enc.put_str(value.as_str());
-    hash_leaf(enc.as_bytes())
+    enc.into_bytes()
+}
+
+/// [`leaf_digest`] over many pairs in one multi-lane batch
+/// ([`hash_leaf_many`]); the digests are identical.
+fn leaf_digests<'a>(pairs: impl Iterator<Item = (&'a Key, &'a Value)>) -> Vec<Digest> {
+    hash_encoded(
+        pairs
+            .map(|(key, value)| leaf_encoding(key, value))
+            .collect(),
+    )
+}
+
+/// Leaf-hashes already-encoded messages in one multi-lane batch.
+fn hash_encoded(messages: Vec<Vec<u8>>) -> Vec<Digest> {
+    let refs: Vec<&[u8]> = messages.iter().map(Vec::as_slice).collect();
+    hash_leaf_many(&refs)
 }
 
 /// Computes the canonical **key tree** leaf digest for a key — domain
 /// separated from [`leaf_digest`] so a key leaf can never be confused
 /// with a value leaf.
 pub fn key_leaf_digest(key: &Key) -> Digest {
+    hash_leaf(&key_leaf_encoding(key))
+}
+
+/// The bytes [`key_leaf_digest`] hashes.
+fn key_leaf_encoding(key: &Key) -> Vec<u8> {
     let mut enc = Encoder::new();
     enc.put_str("fides.key.v1");
     enc.put_str(key.as_str());
-    hash_leaf(enc.as_bytes())
+    enc.into_bytes()
 }
 
 /// Combines a value-tree root and a key-tree root into the composite
@@ -132,8 +158,8 @@ pub struct AuthenticatedShard {
     /// scan under the shard lock.
     key_order: Vec<Key>,
     /// Key → (leaf index, creation timestamp). Leaf indexes are assigned
-    /// in creation order, so the keys existing at any version occupy a
-    /// prefix of the leaf level.
+    /// in creation order, so the keys existing at a version usually
+    /// occupy a prefix of the leaf level (see `leaves_at_version`).
     index: BTreeMap<Key, (usize, Timestamp)>,
     stats: MhtUpdateStats,
 }
@@ -145,9 +171,8 @@ impl AuthenticatedShard {
     pub fn new(items: Vec<(Key, Value)>) -> Self {
         let mut store = MultiVersionStore::new();
         let mut index = BTreeMap::new();
-        let mut leaves = Vec::with_capacity(items.len());
+        let leaves = leaf_digests(items.iter().map(|(key, value)| (key, value)));
         for (i, (key, value)) in items.into_iter().enumerate() {
-            leaves.push(leaf_digest(&key, &value));
             index.insert(key.clone(), (i, Timestamp::ZERO));
             store.load(key, value);
         }
@@ -341,8 +366,18 @@ impl AuthenticatedShard {
     /// (possibly corrupted) datastore — the server-side computation when
     /// an auditor audits version `ts` (§4.2.2, multi-versioned audit).
     pub fn tree_at_version(&self, ts: Timestamp) -> MerkleTree {
-        // Keys existing at ts occupy a prefix of the leaf level because
-        // leaf indexes are assigned in commit order.
+        MerkleTree::from_leaves(self.leaves_at_version(ts).1)
+    }
+
+    /// The value tree's leaves as of version `ts`: the leaf indexes of
+    /// the keys created at or before `ts`, ascending (a key's position
+    /// in the tree at `ts` is its rank here), and their leaf digests
+    /// from the store.
+    fn leaves_at_version(&self, ts: Timestamp) -> (Vec<usize>, Vec<Digest>) {
+        // Leaf indexes are assigned in commit order, so the keys existing
+        // at ts usually occupy a prefix of the leaf level; a key created
+        // by a later commit with an earlier timestamp breaks the prefix,
+        // which ranking by index absorbs.
         let mut entries: Vec<(usize, &Key)> = self
             .index
             .iter()
@@ -350,17 +385,22 @@ impl AuthenticatedShard {
             .map(|(k, (idx, _))| (*idx, k))
             .collect();
         entries.sort_unstable_by_key(|(idx, _)| *idx);
-        let leaves = entries
-            .into_iter()
-            .map(|(_, key)| {
-                let value = self
-                    .store
+        let keys: Vec<&Key> = entries.iter().map(|(_, key)| *key).collect();
+        let digests = self.leaf_digests_at(&keys, ts);
+        (entries.into_iter().map(|(idx, _)| idx).collect(), digests)
+    }
+
+    /// The leaf digests of `keys` with their stored values at `ts`.
+    fn leaf_digests_at(&self, keys: &[&Key], ts: Timestamp) -> Vec<Digest> {
+        let values: Vec<Value> = keys
+            .iter()
+            .map(|key| {
+                self.store
                     .value_at(key, ts)
-                    .expect("key created at or before ts has a version at ts");
-                leaf_digest(key, &value)
+                    .expect("key created at or before ts has a version at ts")
             })
             .collect();
-        MerkleTree::from_leaves(leaves)
+        leaf_digests(keys.iter().copied().zip(&values))
     }
 
     /// Reconstructs the **key tree** as of version `ts`: the sorted set
@@ -400,6 +440,87 @@ impl AuthenticatedShard {
         Some((value, tree.proof(idx)))
     }
 
+    /// Whether `key` exists at version `ts`: created at or before `ts`
+    /// with a stored version visible there — exactly when
+    /// [`AuthenticatedShard::proof_at_version`] returns a proof.
+    pub fn exists_at_version(&self, key: &Key, ts: Timestamp) -> bool {
+        self.index
+            .get(key)
+            .is_some_and(|(_, created)| *created <= ts && self.store.value_at(key, ts).is_some())
+    }
+
+    /// The composite roots at each of `versions` — equal to mapping
+    /// [`AuthenticatedShard::root_at_version`], at the cost of one full
+    /// build plus re-hashing only the leaves that change between
+    /// consecutive versions. This is the auditor's Lemma 2 pass.
+    ///
+    /// `versions` should ascend. The value and key trees are built once
+    /// at the first version and rolled forward: between `prev` and `v`
+    /// only keys whose stored chain holds a version in `(prev, v]` can
+    /// change value. Those keys come from the store's own chains
+    /// ([`MultiVersionStore::version_stamps`]), never from a log, so a
+    /// corrupted or never-logged stored version shows exactly as it
+    /// would in a rebuild. A key created in `(prev, v]` moves leaf
+    /// positions and the key tree, so that step (rare — the keyspace is
+    /// preloaded) rebuilds from scratch, as does a version below its
+    /// predecessor.
+    pub fn roots_at_versions(&self, versions: &[Timestamp]) -> Vec<Digest> {
+        /// The trees at version `at`; `leaf_idx` holds the leaf indexes
+        /// of the keys existing there, ascending (position = rank).
+        struct Rolled {
+            at: Timestamp,
+            leaf_idx: Vec<usize>,
+            tree: MerkleTree,
+            key_root: Digest,
+        }
+        let stamps = self.store.version_stamps();
+        let mut created: Vec<Timestamp> = self.index.values().map(|(_, c)| *c).collect();
+        created.sort_unstable();
+        let created_upto = |ts: Timestamp| created.partition_point(|c| *c <= ts);
+        let stamps_upto = |ts: Timestamp| stamps.partition_point(|(wts, _)| *wts <= ts);
+
+        let mut roots = Vec::with_capacity(versions.len());
+        let mut rolled: Option<Rolled> = None;
+        for &v in versions {
+            let state = match rolled.take() {
+                Some(mut st) if st.at <= v && created_upto(st.at) == created_upto(v) => {
+                    let mut changed: Vec<(usize, &Key)> = stamps
+                        [stamps_upto(st.at)..stamps_upto(v)]
+                        .iter()
+                        .filter_map(|(_, key)| {
+                            let (idx, _) = self.index.get(*key)?;
+                            let pos = st.leaf_idx.binary_search(idx).ok()?;
+                            Some((pos, *key))
+                        })
+                        .collect();
+                    changed.sort_unstable();
+                    changed.dedup();
+                    let keys: Vec<&Key> = changed.iter().map(|(_, key)| *key).collect();
+                    let updates: Vec<(usize, Digest)> = changed
+                        .iter()
+                        .map(|(pos, _)| *pos)
+                        .zip(self.leaf_digests_at(&keys, v))
+                        .collect();
+                    st.tree.update_leaves(&updates);
+                    st.at = v;
+                    st
+                }
+                _ => {
+                    let (leaf_idx, leaves) = self.leaves_at_version(v);
+                    Rolled {
+                        at: v,
+                        leaf_idx,
+                        tree: MerkleTree::from_leaves(leaves),
+                        key_root: self.key_tree_at_version(v).root(),
+                    }
+                }
+            };
+            roots.push(combine_roots(&state.tree.root(), &state.key_root));
+            rolled = Some(state);
+        }
+        roots
+    }
+
     /// Exports the shard as a [`ShardCheckpoint`]: every item in
     /// leaf-index order with its full version chain and timestamps.
     /// [`AuthenticatedShard::from_checkpoint`] reproduces a shard with
@@ -436,13 +557,14 @@ impl AuthenticatedShard {
     pub fn from_checkpoint(checkpoint: &ShardCheckpoint) -> Self {
         let mut store = MultiVersionStore::new();
         let mut index = BTreeMap::new();
-        let mut leaves = Vec::with_capacity(checkpoint.items.len());
-        for (i, item) in checkpoint.items.iter().enumerate() {
+        let leaves = leaf_digests(checkpoint.items.iter().map(|item| {
             let (_, latest) = item
                 .versions
                 .last()
                 .expect("checkpoint chains are non-empty");
-            leaves.push(leaf_digest(&item.key, latest));
+            (&item.key, latest)
+        }));
+        for (i, item) in checkpoint.items.iter().enumerate() {
             index.insert(item.key.clone(), (i, item.created));
             store.restore_chain(item.key.clone(), item.versions.clone(), item.rts);
         }
@@ -535,7 +657,7 @@ impl AuthenticatedShard {
 
 /// Builds the sorted key tree over an (ascending) key iterator.
 fn key_tree_of<'a>(keys: impl Iterator<Item = &'a Key>) -> MerkleTree {
-    MerkleTree::from_leaves(keys.map(key_leaf_digest).collect())
+    MerkleTree::from_leaves(hash_encoded(keys.map(key_leaf_encoding).collect()))
 }
 
 #[cfg(test)]

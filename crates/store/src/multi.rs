@@ -181,6 +181,21 @@ impl MultiVersionStore {
         self.items.keys()
     }
 
+    /// Every stored version as a `(wts, key)` stamp, sorted by `wts`
+    /// (then key). Taken from the chains themselves, so versions no
+    /// committed transaction wrote — injected or corrupted — appear too:
+    /// the multi-versioned audit uses this to find the keys whose value
+    /// can differ between two audited versions.
+    pub fn version_stamps(&self) -> Vec<(Timestamp, &Key)> {
+        let mut stamps: Vec<(Timestamp, &Key)> = self
+            .items
+            .iter()
+            .flat_map(|(key, chain)| chain.versions.iter().map(move |(wts, _)| (*wts, key)))
+            .collect();
+        stamps.sort_unstable();
+        stamps
+    }
+
     /// Overwrites the value of the version visible at `ts` *without*
     /// creating a new version — models datastore corruption (paper §5,
     /// Scenario 3). Fault-injection only.

@@ -109,6 +109,64 @@ proptest! {
         }
     }
 
+    /// The auditor's rolled Lemma 2 pass equals one rebuild per
+    /// version, over histories with out-of-order writes, same-timestamp
+    /// double writes, keys created between audited versions, corrupted
+    /// versions and stored versions no commit wrote.
+    #[test]
+    fn rolled_roots_match_per_version_rebuild(
+        n in 1u8..10,
+        ops in proptest::collection::vec(
+            (0u8..6, any::<u8>(), any::<i64>(), 1u64..40, 0u32..3),
+            1..40,
+        ),
+        audited in proptest::collection::vec((0u64..44, 0u32..3), 0..16),
+    ) {
+        let items: Vec<(Key, Value)> =
+            (0..n).map(|i| (key(i), Value::from_i64(i as i64))).collect();
+        let mut shard = AuthenticatedShard::new(items);
+        let mut created = n;
+        for (kind, k, v, counter, client) in ops {
+            let ts = Timestamp::new(counter, client);
+            let existing = key(k % created);
+            let value = Value::from_i64(v);
+            match kind {
+                // A logged write at any timestamp (out of order too).
+                0 | 1 => {
+                    shard.apply_commit(ts, &[], &[(existing, value)]);
+                }
+                // The same key written twice at one timestamp: in one
+                // transaction, then again by a second apply.
+                2 => {
+                    let twice = Value::from_i64(v.wrapping_add(1));
+                    shard.apply_commit(ts, &[], &[(existing.clone(), value), (existing.clone(), twice)]);
+                    shard.apply_commit(ts, &[], &[(existing, Value::from_i64(v.wrapping_sub(1)))]);
+                }
+                // Key creation (possibly before keys created earlier).
+                3 => {
+                    shard.apply_commit(ts, &[], &[(key(created), value)]);
+                    created += 1;
+                }
+                // Silent corruption of the version visible at ts.
+                4 => {
+                    shard.store_mut().corrupt_version(&existing, ts, value);
+                }
+                // A stored version no commit wrote.
+                _ => {
+                    shard.store_mut().commit_write(&existing, value, ts);
+                }
+            }
+        }
+        let mut versions: Vec<Timestamp> = audited
+            .into_iter()
+            .map(|(counter, client)| Timestamp::new(counter, client))
+            .collect();
+        versions.sort_unstable();
+        let expected: Vec<fides_crypto::Digest> =
+            versions.iter().map(|v| shard.root_at_version(*v)).collect();
+        prop_assert_eq!(shard.roots_at_versions(&versions), expected);
+    }
+
     /// Rollback never leaves versions newer than the target and keeps
     /// the surviving history intact.
     #[test]
