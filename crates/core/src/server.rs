@@ -2238,18 +2238,15 @@ impl Server {
     /// cross-checked against the co-signed chain) on first use per
     /// checkpoint.
     fn mirror_read_state(&self, origin: u32) -> Option<Arc<MirrorReadState>> {
-        // A cache hit copies nothing: only the held mirror's height is
-        // compared; the checkpoint is cloned only to rebuild.
-        let height = self.state.repair.lock().mirrors.get(&origin)?.height;
+        let snapshot = self.state.repair.lock().mirrors.get(&origin).cloned()?;
         {
             let cache = self.state.mirror_reads.lock();
             if let Some(state) = cache.get(&origin) {
-                if state.covered == height {
+                if state.covered == snapshot.height {
                     return Some(Arc::clone(state));
                 }
             }
         }
-        let snapshot = self.state.repair.lock().mirrors.get(&origin).cloned()?;
         self.state.telemetry.mirror_rebuilds.inc();
         // Build outside the cache lock (restore is expensive).
         let shard = snapshot.restore_verified().ok()?;
